@@ -7,7 +7,9 @@
 //!
 //! * kernels — `image_histogram_scalar` / `change_detection_scalar` /
 //!   `target_detection_chunk_scalar` vs the row-sliced and word-streaming
-//!   paths (bit-identical output, asserted here);
+//!   paths (bit-identical output, asserted here), plus a record-only dense
+//!   worst case for target detection: 640×480, all-set mask, eight models,
+//!   the lazily memoized ratio LUT against the scalar path's full build;
 //! * STM — a put/consume loop vs `put_many` + `consume_range` under one
 //!   lock, plus the lock-free `snapshot` read;
 //! * frame pipeline — `render`/`change_detection` allocating per frame vs
@@ -183,6 +185,47 @@ fn main() {
         },
     );
     report.pair("kernel", "target_detection", b, a);
+
+    // Dense worst case for the lazy ratio LUT: 640x480, every pixel
+    // mask-set, eight models — the most cells a chunk can touch on a demo
+    // frame, against the full 64^3 build per model. Record-only: the ratio
+    // is reported, never asserted.
+    let (dw, dh) = (640, 480);
+    let dense_scene = Scene::demo(dw, dh, 8, 42);
+    let dense_models = dense_scene.models();
+    let dense_frame = dense_scene.render(1);
+    let dense_hist = image_histogram(&dense_frame);
+    let dense_mask = BitMask::all_set(dw, dh);
+    let dense_chunk = detect_chunks(dw, dh, dense_models.len(), 1, 1)[0];
+    let dense_lazy = || {
+        target_detection_chunk(
+            &dense_frame,
+            &dense_hist,
+            &dense_models,
+            &dense_mask,
+            dense_chunk,
+        )
+    };
+    let dense_full = || {
+        target_detection_chunk_scalar(
+            &dense_frame,
+            &dense_hist,
+            &dense_models,
+            &dense_mask,
+            dense_chunk,
+        )
+    };
+    assert_eq!(dense_lazy(), dense_full());
+    let (b, a) = time_pair_ns(
+        iters,
+        || {
+            std::hint::black_box(dense_full());
+        },
+        || {
+            std::hint::black_box(dense_lazy());
+        },
+    );
+    report.pair("kernel", "target_detection_dense_640x480", b, a);
 
     // --- STM batch APIs ----------------------------------------------
     const BATCH: u64 = 64;

@@ -7,18 +7,21 @@
 //!    decomposed into exactly the paper's chunk grids. Every chunk's CPU
 //!    cost is *measured* on this host; the 4-processor makespan is then
 //!    *projected* by longest-processing-time packing of the measured chunks
-//!    onto four modeled processors. (This host exposes a single CPU core,
-//!    so wall-clock parallel speedup is physically unobservable here — the
-//!    same substitution the simulator makes, applied to measured numbers.
-//!    The threaded splitter/worker/joiner machinery itself is exercised by
-//!    the `runtime` crate's tests and examples.)
+//!    onto four modeled processors. (The reference host exposes two CPU
+//!    cores, fewer than the four processors modeled, so a 4-way wall-clock
+//!    speedup is physically unobservable there — the same substitution the
+//!    simulator makes, applied to measured numbers. The threaded
+//!    splitter/worker/joiner machinery itself is exercised by the `runtime`
+//!    crate's tests and examples.) The real-kernel shape checks are
+//!    reported, not assumed: the cost-model half always prints, and the
+//!    binary exits nonzero at the end if any check failed.
 //! 2. **Cost model**: the calibrated analytical model used by the
 //!    simulator, evaluated at the paper's scale — this reconstructs the
 //!    paper's actual cell values to within a few percent.
 
 use std::time::Instant;
 
-use kiosk_bench::{csv_line, print_table, run_checks};
+use kiosk_bench::{csv_line, print_table, report_checks};
 use taskgraph::{AppState, DataParallelSpec, Decomposition, Micros};
 use vision::detect::PartialScores;
 use vision::{
@@ -85,7 +88,9 @@ fn main() {
     println!(
         "grid: FP ∈ {{1,4}} × (1 model | 8 models with MP ∈ {{8,1}}), {WORKERS} modeled processors, {WIDTH}x{HEIGHT} frames"
     );
-    println!("(single-core host: per-chunk CPU costs measured, makespan projected by LPT packing)");
+    println!(
+        "(per-chunk CPU costs measured one chunk at a time, makespan projected by LPT packing)"
+    );
 
     // --- Real kernels ----------------------------------------------------
     let scene8 = Scene::demo(WIDTH, HEIGHT, 8, 0xBEEF);
@@ -161,7 +166,7 @@ fn main() {
         ),
     ];
     println!("\nshape checks:");
-    run_checks(&checks);
+    let real_ok = report_checks(&checks);
 
     // --- Cost model at paper scale ---------------------------------------
     let spec = DataParallelSpec::new(vec![1, 4], vec![1, 8], Micros::from_millis(35))
@@ -287,8 +292,12 @@ fn main() {
     );
     let distinct: std::collections::HashSet<&String> = chosen.iter().collect();
     println!();
-    run_checks(&[(
+    let calibrated_ok = report_checks(&[(
         "calibrated decomposition is regime-dependent on this host",
         distinct.len() > 1,
     )]);
+    if !(real_ok && calibrated_ok) {
+        eprintln!("FAILED: at least one check above did not hold");
+        std::process::exit(1);
+    }
 }

@@ -54,17 +54,24 @@ pub fn csv_line<C: Display>(cells: &[C]) {
     println!("csv,{}", joined.join(","));
 }
 
-/// Print a final `[PASS]`/`[FAIL]` checklist and **exit nonzero** when any
-/// check failed, so a CI smoke run of the binary gates on correctness
-/// instead of only on it not crashing. Call this last — it does not
-/// return on failure.
-pub fn run_checks<S: Display>(checks: &[(S, bool)]) {
+/// Print a `[PASS]`/`[FAIL]` checklist and return whether every check
+/// held — for a binary with several report sections, which must print them
+/// all before it fails. Pair it with [`run_checks`] on the last section.
+pub fn report_checks<S: Display>(checks: &[(S, bool)]) -> bool {
     let mut all_ok = true;
     for (name, ok) in checks {
         all_ok &= ok;
         println!("  [{}] {name}", if *ok { "PASS" } else { "FAIL" });
     }
-    if !all_ok {
+    all_ok
+}
+
+/// Print a final `[PASS]`/`[FAIL]` checklist and **exit nonzero** when any
+/// check failed, so a CI smoke run of the binary gates on correctness
+/// instead of only on it not crashing. Call this last — it does not
+/// return on failure.
+pub fn run_checks<S: Display>(checks: &[(S, bool)]) {
+    if !report_checks(checks) {
         eprintln!("FAILED: at least one check above did not hold");
         std::process::exit(1);
     }

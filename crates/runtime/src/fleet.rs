@@ -13,9 +13,10 @@
 //! admission gate against current measured utilization; a departure drains
 //! the tenant's in-flight frames, releases its freelist buffers and shared
 //! schedule-cache locks, and leaves a final rollup behind. Previously
-//! rejected streams sit in a retry queue and are re-admitted once
-//! utilization drops a hysteresis band below the admission threshold
-//! ([`FleetConfig::readmit`]).
+//! rejected Guaranteed and Standard streams sit in a retry queue and are
+//! re-admitted once utilization drops a hysteresis band below the admission
+//! threshold ([`FleetConfig::readmit`]); a rejected `BestEffort` stream stays
+//! rejected ([`lifecycle::retry_on_reject`]).
 //!
 //! Mechanisms that keep the fleet honest under load:
 //!
@@ -116,10 +117,12 @@ pub struct FleetConfig {
     /// Idle-buffer bound of each shared freelist; `0` derives a bound from
     /// the template's channel capacity.
     pub buf_slots: usize,
-    /// Re-admission loop: when `true`, rejected streams enter a retry
-    /// queue and are re-attached once EWMA utilization drops below
-    /// `max_utilization - readmit_hysteresis`. Off by default — a plain
-    /// [`run_fleet`] keeps the PR 8 reject-is-final semantics.
+    /// Re-admission loop: when `true`, rejected Guaranteed and Standard
+    /// streams enter a FIFO retry queue and are re-attached once EWMA
+    /// utilization drops below `max_utilization - readmit_hysteresis`. A
+    /// rejected `BestEffort` stream is never queued
+    /// ([`lifecycle::retry_on_reject`]). Off by default — a plain
+    /// [`run_fleet`] keeps reject-is-final semantics for every class.
     pub readmit: bool,
     /// Hysteresis band of the re-admission gate (see
     /// [`lifecycle::readmit_ready`]): prevents admit/reject flapping when
@@ -627,11 +630,12 @@ impl Fleet {
     }
 
     /// Ask to run one more stream. The EWMA admission gate decides against
-    /// *current* measured utilization; a rejected stream (with
-    /// [`FleetConfig::readmit`] on) enters the retry queue and may be
-    /// re-admitted later by the monitor.
+    /// *current* measured utilization; a rejected Guaranteed or Standard
+    /// stream (with [`FleetConfig::readmit`] on) enters the retry queue and
+    /// may be re-admitted later by the monitor.
     pub fn attach(&self, spec: TenantSpec) -> AttachOutcome {
         let inner = &self.inner;
+        let class = spec.class;
         let util = inner.utilization();
         let (idx, admitted) = {
             let mut slots = inner.slots.lock();
@@ -658,7 +662,7 @@ impl Fleet {
         };
         if admitted {
             inner.start_tenant(idx, false);
-        } else if inner.cfg.readmit {
+        } else if inner.cfg.readmit && lifecycle::retry_on_reject(class) {
             inner.retry.lock().push_back(idx);
         }
         AttachOutcome {
@@ -1029,6 +1033,30 @@ mod tests {
         for t in &run.tenants[..2] {
             assert_eq!(t.stats.as_ref().unwrap().frames_completed, 6);
         }
+    }
+
+    #[test]
+    fn rejected_best_effort_streams_never_enter_the_retry_queue() {
+        // A negative threshold rejects every attach past the floor, and the
+        // re-admission gate (util <= max - h) can never open, so the queue
+        // holds exactly what attach put there.
+        let mut cfg = FleetConfig::small(0, 4);
+        cfg.max_utilization = -1.0;
+        cfg.min_admitted = 1;
+        cfg.readmit = true;
+        let fleet = Fleet::launch(cfg);
+        assert!(fleet.attach(TenantSpec::default()).admitted);
+        let hog = fleet.attach(TenantSpec::with_class(PriorityClass::BestEffort));
+        let standard = fleet.attach(TenantSpec::default());
+        let guaranteed = fleet.attach(TenantSpec::with_class(PriorityClass::Guaranteed));
+        assert!(!hog.admitted && !standard.admitted && !guaranteed.admitted);
+        assert_eq!(
+            *fleet.inner.retry.lock(),
+            VecDeque::from([standard.tenant, guaranteed.tenant])
+        );
+        let run = fleet.finish();
+        assert_eq!(run.tenants[hog.tenant].state, LifecycleState::Rejected);
+        assert!(!run.tenants[hog.tenant].readmitted);
     }
 
     #[test]

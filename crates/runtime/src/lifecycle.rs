@@ -12,7 +12,8 @@
 //!   │ gate rejects           │ runs to completion                          │
 //!   ▼                        ▼                                             │
 //! Rejected ──► retry queue ──► re-admitted when EWMA ≤ max − hysteresis ───┘
-//!                              (Completed when never detached)
+//!    │                         (Completed when never detached)
+//!    └── BestEffort: final, never queued (see `retry_on_reject`)
 //! ```
 
 use std::sync::Arc;
@@ -166,6 +167,18 @@ pub fn admit(
 #[must_use]
 pub fn readmit_ready(util: f64, max_utilization: f64, hysteresis: f64) -> bool {
     util <= max_utilization - hysteresis
+}
+
+/// Whether a rejected stream of `class` enters the re-admission retry
+/// queue. A rejected `BestEffort` stream does not: its rejection is final.
+/// It carries no service guarantee and may be unbounded (a period-0 hog
+/// with a huge frame budget), so a FIFO retry would hand the capacity a
+/// departure frees to it ahead of a Guaranteed or Standard stream rejected
+/// after it — which then starves — and a fleet finishing normally would
+/// wait out the hog's whole frame budget.
+#[must_use]
+pub fn retry_on_reject(class: PriorityClass) -> bool {
+    class != PriorityClass::BestEffort
 }
 
 /// The shed gate for BestEffort tenants, with its own hysteresis band:

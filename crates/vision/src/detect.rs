@@ -8,9 +8,20 @@
 //!   horizontal box filter stays exact per strip;
 //! * **MP** — the model set splits into contiguous ranges.
 //!
-//! Each chunk must recompute the ratio histogram of every model it touches —
-//! the *real* per-model-per-chunk setup cost that makes Table 1's FP=4 row
-//! lose to MP=8 at eight models.
+//! Each chunk pays its own setup for every model it touches — the *real*
+//! per-model-per-chunk overhead behind Table 1. That setup is the model's
+//! Swain–Ballard ratio histogram, a NaN fill of a `64³` memo, and the cells
+//! of the trilinear interpolation table ([`ratio_lut`]) that the chunk's
+//! masked pixels actually read, each evaluated once on first touch. A
+//! demo-scene frame touches ~1,400–2,200 of the 262,144 cells, so a chunk
+//! skips over 99% of the full build; its worst case (every cell touched)
+//! stays bounded by the full build.
+//!
+//! The lazy table is bit-identical to the full one by construction: both
+//! evaluate every cell through the one trilinear `cell` function (same
+//! operation order — b-lerp, then g, then r — and Rust never contracts to
+//! FMA), and a cell value is always finite in `[0, 1]`, so the NaN "unset"
+//! sentinel can never be mistaken for one.
 //!
 //! The complementary vertical pass lives in T5 ([`crate::peak`]), keeping
 //! the separable smoothing exact under decomposition.
@@ -23,53 +34,108 @@ pub const HALF_WINDOW: usize = 7;
 
 /// Bits per channel of the per-model lookup table used at pixel-lookup time
 /// (finer than the histogram quantization; values between coarse bins are
-/// trilinearly interpolated). Building this LUT is the *model setup* cost
-/// that every chunk pays per model — the physical source of Table 1's
-/// per-model-per-chunk overhead.
+/// trilinearly interpolated). A chunk evaluates only the cells its pixels
+/// read, each once per model — see the module docs for what that setup
+/// costs and why it equals the full [`ratio_lut`] bit for bit.
 pub const LUT_BITS: u32 = 6;
 
 /// Entries per channel of the ratio LUT.
 pub const LUT_SIZE: usize = 1 << LUT_BITS;
 
+/// One model's ratio histogram against one image histogram, with the
+/// trilinear evaluation of any single ratio-LUT cell. The one source of
+/// truth for cell values: the full table and the lazy memo both read it.
+struct RatioCells {
+    ratio: Box<[f32]>,
+    /// Per-axis `(lo, hi, frac)`: the two coarse bins around a LUT cell's
+    /// center and its weight toward `hi` (the same on all three axes).
+    axis: [(usize, usize, f32); LUT_SIZE],
+}
+
+impl RatioCells {
+    fn new(model: &ColorHist, image: &ColorHist) -> RatioCells {
+        let scale = BINS_PER_CHANNEL as f32 / LUT_SIZE as f32;
+        let max_bin = (BINS_PER_CHANNEL - 1) as f32;
+        // Continuous coordinate of LUT cell center on the coarse grid.
+        let axis = std::array::from_fn(|v| {
+            let c = ((v as f32 + 0.5) * scale - 0.5).clamp(0.0, max_bin);
+            let lo = c.floor() as usize;
+            let hi = (lo + 1).min(BINS_PER_CHANNEL - 1);
+            (lo, hi, c - lo as f32)
+        });
+        RatioCells {
+            ratio: model.ratio(image),
+            axis,
+        }
+    }
+
+    /// Cell `(r, g, b)`: trilinear interpolation between the eight
+    /// surrounding coarse bins, lerping along b, then g, then r.
+    #[inline]
+    fn cell(&self, r: usize, g: usize, b: usize) -> f32 {
+        let (r0, r1, fr) = self.axis[r];
+        let (g0, g1, fg) = self.axis[g];
+        let (b0, b1, fb) = self.axis[b];
+        let at = |r: usize, g: usize, b: usize| -> f32 {
+            self.ratio[(r << (2 * QUANT_BITS)) | (g << QUANT_BITS) | b]
+        };
+        let c00 = at(r0, g0, b0) * (1.0 - fb) + at(r0, g0, b1) * fb;
+        let c01 = at(r0, g1, b0) * (1.0 - fb) + at(r0, g1, b1) * fb;
+        let c10 = at(r1, g0, b0) * (1.0 - fb) + at(r1, g0, b1) * fb;
+        let c11 = at(r1, g1, b0) * (1.0 - fb) + at(r1, g1, b1) * fb;
+        let c0 = c00 * (1.0 - fg) + c01 * fg;
+        let c1 = c10 * (1.0 - fg) + c11 * fg;
+        c0 * (1.0 - fr) + c1 * fr
+    }
+}
+
+/// [`ratio_lut`] memoized lazily: a cell is evaluated on its first read
+/// and stored, so a chunk pays only for the cells its pixels touch.
+struct LazyLut {
+    cells: RatioCells,
+    /// `LUT_SIZE³` cells; NaN marks "not yet evaluated" (a real cell is
+    /// finite, in `[0, 1]`).
+    memo: Box<[f32]>,
+}
+
+impl LazyLut {
+    fn new(model: &ColorHist, image: &ColorHist) -> LazyLut {
+        LazyLut {
+            cells: RatioCells::new(model, image),
+            memo: vec![f32::NAN; LUT_SIZE * LUT_SIZE * LUT_SIZE].into_boxed_slice(),
+        }
+    }
+
+    /// The value of cell `i` (a [`lut_index`]), equal to `ratio_lut(..)[i]`.
+    #[inline]
+    fn get(&mut self, i: usize) -> f32 {
+        let v = self.memo[i];
+        if !v.is_nan() {
+            return v;
+        }
+        let mask = LUT_SIZE - 1;
+        let v = self
+            .cells
+            .cell(i >> (2 * LUT_BITS), (i >> LUT_BITS) & mask, i & mask);
+        self.memo[i] = v;
+        v
+    }
+}
+
 /// Build the back-projection lookup table for one model against the current
 /// image histogram: the Swain–Ballard ratio histogram, upsampled from the
 /// coarse `16³` grid to a smooth `64³` table by trilinear interpolation.
+/// The full-table oracle: detection itself evaluates the same cells lazily.
 #[must_use]
 pub fn ratio_lut(model: &ColorHist, image: &ColorHist) -> Box<[f32]> {
-    let ratio = model.ratio(image);
-    let mut lut = vec![0.0f32; LUT_SIZE * LUT_SIZE * LUT_SIZE].into_boxed_slice();
-    let scale = BINS_PER_CHANNEL as f32 / LUT_SIZE as f32;
-    let max_bin = (BINS_PER_CHANNEL - 1) as f32;
-    // Continuous coordinate of LUT cell center on the coarse grid, then
-    // trilinear interpolation between the eight surrounding coarse bins.
-    let coord = |v: usize| -> (usize, usize, f32) {
-        let c = ((v as f32 + 0.5) * scale - 0.5).clamp(0.0, max_bin);
-        let lo = c.floor() as usize;
-        let hi = (lo + 1).min(BINS_PER_CHANNEL - 1);
-        (lo, hi, c - lo as f32)
-    };
-    let at = |r: usize, g: usize, b: usize| -> f32 {
-        ratio[(r << (2 * QUANT_BITS)) | (g << QUANT_BITS) | b]
-    };
-    let mut i = 0usize;
+    let cells = RatioCells::new(model, image);
+    let mut lut = Vec::with_capacity(LUT_SIZE * LUT_SIZE * LUT_SIZE);
     for r in 0..LUT_SIZE {
-        let (r0, r1, fr) = coord(r);
         for g in 0..LUT_SIZE {
-            let (g0, g1, fg) = coord(g);
-            for b in 0..LUT_SIZE {
-                let (b0, b1, fb) = coord(b);
-                let c00 = at(r0, g0, b0) * (1.0 - fb) + at(r0, g0, b1) * fb;
-                let c01 = at(r0, g1, b0) * (1.0 - fb) + at(r0, g1, b1) * fb;
-                let c10 = at(r1, g0, b0) * (1.0 - fb) + at(r1, g0, b1) * fb;
-                let c11 = at(r1, g1, b0) * (1.0 - fb) + at(r1, g1, b1) * fb;
-                let c0 = c00 * (1.0 - fg) + c01 * fg;
-                let c1 = c10 * (1.0 - fg) + c11 * fg;
-                lut[i] = c0 * (1.0 - fr) + c1 * fr;
-                i += 1;
-            }
+            lut.extend((0..LUT_SIZE).map(|b| cells.cell(r, g, b)));
         }
     }
-    lut
+    lut.into_boxed_slice()
 }
 
 /// LUT index of a pixel at [`LUT_BITS`] quantization.
@@ -195,8 +261,8 @@ pub struct PartialScores {
 }
 
 /// Execute one chunk (the worker of Fig. 9). Recomputes the ratio histogram
-/// for every model in range — the replicated setup cost of frame
-/// partitioning.
+/// for every model in range, and the LUT cells its masked pixels read — the
+/// replicated setup cost of frame partitioning.
 #[must_use]
 pub fn target_detection_chunk(
     frame: &Frame,
@@ -219,7 +285,7 @@ pub fn target_detection_chunk(
         .skip(chunk.model_lo)
     {
         // Per-model setup, paid by every chunk that touches the model.
-        let lut = ratio_lut(model, image_hist);
+        let mut lut = LazyLut::new(model, image_hist);
         let w = region.width();
         let mut raw = vec![0.0f32; region.area()];
         for (ry, y) in (region.y0..region.y1).enumerate() {
@@ -232,7 +298,7 @@ pub fn target_detection_chunk(
             let row_bit = y * frame.width;
             for (x, px) in row.chunks_exact(3).enumerate() {
                 if mask.get_linear(row_bit + x) {
-                    raw_row[x] = lut[lut_index([px[0], px[1], px[2]])];
+                    raw_row[x] = lut.get(lut_index([px[0], px[1], px[2]]));
                 }
             }
         }
@@ -267,8 +333,9 @@ pub fn target_detection_chunk(
     out
 }
 
-/// Reference pixel-at-a-time implementation of [`target_detection_chunk`];
-/// the before/after oracle for the data-path benchmarks and equality tests.
+/// Reference pixel-at-a-time implementation of [`target_detection_chunk`]
+/// on the full [`ratio_lut`]; the before/after oracle for the data-path
+/// benchmarks and equality tests.
 #[must_use]
 pub fn target_detection_chunk_scalar(
     frame: &Frame,
@@ -377,6 +444,8 @@ pub fn target_detection(
 mod tests {
     use super::*;
     use crate::histogram::image_histogram;
+    use crate::synth::Scene;
+    use proptest::prelude::*;
 
     fn red_square_frame() -> (Frame, Vec<ColorHist>) {
         let mut f = Frame::new(64, 48);
@@ -549,6 +618,123 @@ mod tests {
         assert!(lut[lut_index([30, 220, 30])] < 0.05);
         assert!(got > 10.0 * lut[lut_index([30, 220, 30])].max(1e-9));
         assert_eq!(lut.len(), LUT_SIZE * LUT_SIZE * LUT_SIZE);
+    }
+
+    /// Every cell of the lazy memo equals the full table bit for bit, read
+    /// in a scrambled order and then re-read from the memo.
+    #[test]
+    fn lazy_lut_matches_full_lut_in_every_cell() {
+        let n = LUT_SIZE * LUT_SIZE * LUT_SIZE;
+        let scene = Scene::demo(64, 48, 4, 7);
+        let models = scene.models();
+        let images = [
+            image_histogram(&scene.render(0)),
+            image_histogram(&Scene::demo(96, 72, 8, 3).render(5)),
+            // Model colors absent from the image: the ratio-1.0 branch.
+            ColorHist::empty(),
+        ];
+        let mut pairs: Vec<(&ColorHist, &ColorHist)> = models
+            .iter()
+            .flat_map(|m| images.iter().map(move |i| (m, i)))
+            .collect();
+        let empty = ColorHist::empty();
+        pairs.push((&empty, &images[0]));
+        for (p, (model, image)) in pairs.into_iter().enumerate() {
+            let full = ratio_lut(model, image);
+            let mut lazy = LazyLut::new(model, image);
+            // 7919 is odd, so `i * 7919 mod n` visits every index once.
+            for pass in 0..2 {
+                for k in 0..n {
+                    let i = (k * 7919) % n;
+                    let got = lazy.get(i);
+                    assert!(got.is_finite() && (0.0..=1.0).contains(&got));
+                    assert_eq!(
+                        got.to_bits(),
+                        full[i].to_bits(),
+                        "pair {p} cell {i} pass {pass}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A pseudo-random scene frame, every `noise_every`-th pixel replaced by
+    /// xorshift noise so the lazy table sees cells far from any model color.
+    fn noisy_scene_frame(scene: &Scene, t: u64, noise_every: usize, mut seed: u64) -> Frame {
+        let mut f = scene.render(t);
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let (w, h) = (f.width, f.height);
+        for y in 0..h {
+            for x in (0..w).filter(|x| (x + y * w).is_multiple_of(noise_every)) {
+                let v = next();
+                f.set_pixel(x, y, [v as u8, (v >> 8) as u8, (v >> 16) as u8]);
+            }
+        }
+        f
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The lazy chunk equals the full-LUT scalar oracle over random
+        /// frames, masks (empty, sparse, full) and model counts, on every
+        /// FP × MP grid up to 4 × 8. The oracle runs once per frame on the
+        /// whole-frame chunk; each chunk's rows and models are a slice of it
+        /// (strips are full width and the box filter is horizontal).
+        #[test]
+        fn lazy_chunks_match_scalar_oracle_on_every_grid(
+            w in 8usize..40,
+            h in 10usize..24,
+            n_models in 1usize..9,
+            noise_every in 1usize..9,
+            mask_kind in 0u8..3,
+            seed in 0u64..1_000_000,
+        ) {
+            let scene = Scene::demo(w, h, n_models, seed);
+            let models = scene.models();
+            let frame = noisy_scene_frame(&scene, seed % 16, noise_every, seed | 1);
+            let hist = image_histogram(&frame);
+            let mut mask = BitMask::new(w, h);
+            match mask_kind {
+                0 => {}
+                1 => {
+                    for y in 0..h {
+                        for x in 0..w {
+                            mask.set(x, y, (x * 7 + y * 13 + seed as usize).is_multiple_of(8));
+                        }
+                    }
+                }
+                _ => mask.fill_all(),
+            }
+            let whole = DetectChunk {
+                region: frame.region(),
+                model_lo: 0,
+                model_hi: n_models,
+            };
+            let oracle = target_detection_chunk_scalar(&frame, &hist, &models, &mask, whole);
+            for fp in 1..=4 {
+                for mp in 1..=8 {
+                    for chunk in detect_chunks(w, h, n_models, fp, mp) {
+                        let got = target_detection_chunk(&frame, &hist, &models, &mask, chunk);
+                        let r = chunk.region;
+                        let want: Vec<PartialScores> = oracle[chunk.model_lo..chunk.model_hi]
+                            .iter()
+                            .map(|p| PartialScores {
+                                model: p.model,
+                                region: r,
+                                data: p.data[r.y0 * w..r.y1 * w].to_vec(),
+                            })
+                            .collect();
+                        prop_assert_eq!(got, want, "FP={} MP={} chunk {:?}", fp, mp, chunk);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
